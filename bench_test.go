@@ -244,24 +244,6 @@ func BenchmarkE8NtcpLatencyWAN(b *testing.B) {
 	}
 }
 
-// BenchmarkE8NtcpFastPath measures the §5 "improving NTCP performance"
-// work: the combined proposeAndExecute operation halves the per-step round
-// trips while preserving policy screening and at-most-once semantics.
-func BenchmarkE8NtcpFastPath(b *testing.B) {
-	cl := ntcpFixture(b, faultnet.LAN)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := cl.RunFast(ctx, &core.Proposal{
-			Name:    fmt.Sprintf("fast-%d", i),
-			Actions: []core.Action{{ControlPoint: "drift", Displacements: []float64{0.001}}},
-		})
-		if err != nil || rec.State != core.StateExecuted {
-			b.Fatalf("%v %v", rec, err)
-		}
-	}
-}
-
 // BenchmarkE9Ingestion measures incremental repository ingestion: DAQ spool
 // block → upload → metadata record.
 func BenchmarkE9Ingestion(b *testing.B) {

@@ -84,11 +84,17 @@ func run() int {
 		sup.Add("nsds-feed", runtime.Funcs{
 			StartFunc: func(context.Context) error {
 				var err error
-				cl, err = nsds.DialCatchUp(*nsdsAddr, 4096, nil, nil)
+				cl, err = nsds.DialBatches(*nsdsAddr, 256, true, nil, nil)
 				if err != nil {
 					return fmt.Errorf("nsds: %w", err)
 				}
-				go viewer.FeedFrom(cl.C())
+				go func() {
+					for batch := range cl.Batches() {
+						for _, s := range batch {
+							viewer.Feed(s)
+						}
+					}
+				}()
 				fmt.Printf("chefd: recording stream from %s\n", *nsdsAddr)
 				return nil
 			},

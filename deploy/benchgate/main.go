@@ -45,7 +45,7 @@ type benchFile struct {
 	} `json:"ci_baseline"`
 }
 
-// benchLine matches `BenchmarkE8NtcpFastPath-8   50   414039 ns/op ...`,
+// benchLine matches `BenchmarkE8NtcpLatencyLAN-8   50   814039 ns/op ...`,
 // tolerating the -GOMAXPROCS suffix and fractional ns/op.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 

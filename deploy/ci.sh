@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged CI pipeline. Usage:
 #
-#   deploy/ci.sh                 # default lane (tier 1): vet build test bench smoke obs fleet
+#   deploy/ci.sh                 # default lane (tier 1): vet build test fuzz bench smoke obs fleet
 #   deploy/ci.sh chaos           # nightly lane: chaos scenarios, twice each, byte-compared
 #   deploy/ci.sh vet test        # any subset, in the order given
 #   deploy/ci.sh all             # every stage including lint and chaos
@@ -13,6 +13,9 @@
 #            than part of the offline default lane)
 #   build  - go build everything
 #   test   - full suite under the race detector
+#   fuzz   - 20 s of native fuzzing on the NSDS wire-frame decoder, the one
+#            decoder every NSDS TCP stream goes through (seed corpus in
+#            internal/nsds/testdata/fuzz)
 #   bench  - E8/E10 hot-path smoke gated against BENCH_ntcp.json (deploy/benchgate)
 #   smoke  - trace round-trip + graceful-shutdown end-to-end smokes
 #   obs    - observability smoke: the aggregator over a two-site run must
@@ -25,7 +28,9 @@
 #            pushed roll-ups with exactly-merged counters
 #   chaos  - step-1493 (classic, pipelined, and relay-topology lanes) and
 #            partition scenarios, each run twice; the two verdict reports
-#            must be byte-identical (determinism gate)
+#            must be byte-identical (determinism gate), and run 1 must match
+#            the committed deploy/scenarios/<name>.verdict.json byte for byte
+#            (a refactor must not move a verdict)
 #
 # Every stage is timed; a summary table prints at the end. The pipeline
 # stops at the first failing stage.
@@ -67,6 +72,10 @@ stage_build() {
 
 stage_test() {
     go test -race ./...
+}
+
+stage_fuzz() {
+    go test -run '^$' -fuzz '^FuzzFrameDecoder$' -fuzztime 20s ./internal/nsds/
 }
 
 stage_bench() {
@@ -177,6 +186,13 @@ stage_chaos() {
             rc=1
             break
         fi
+        if ! cmp "$out/$sc-1.json" "deploy/scenarios/$sc.verdict.json"; then
+            echo "scenario $sc: verdict differs from the golden deploy/scenarios/$sc.verdict.json"
+            diff "deploy/scenarios/$sc.verdict.json" "$out/$sc-1.json" || true
+            save_artifact "$out/$sc-1.json" "$sc-verdict-1.json"
+            rc=1
+            break
+        fi
         if ! cmp "$out/$sc-1.json" "$out/$sc-2.json"; then
             echo "scenario $sc: verdicts differ between identical runs (determinism broken)"
             diff "$out/$sc-1.json" "$out/$sc-2.json" || true
@@ -185,7 +201,7 @@ stage_chaos() {
             rc=1
             break
         fi
-        echo "-- scenario $sc: completed and byte-replayed --"
+        echo "-- scenario $sc: completed, matched golden, and byte-replayed --"
     done
     rm -rf "$out"
     return $rc
@@ -219,16 +235,16 @@ finish() {
 }
 
 if [ $# -eq 0 ]; then
-    set -- vet build test bench smoke obs fleet
+    set -- vet build test fuzz bench smoke obs fleet
 elif [ "$1" = all ]; then
-    set -- vet lint build test bench smoke obs fleet chaos
+    set -- vet lint build test fuzz bench smoke obs fleet chaos
 fi
 
 for stage in "$@"; do
     case "$stage" in
-    vet | lint | build | test | bench | smoke | obs | fleet | chaos) ;;
+    vet | lint | build | test | fuzz | bench | smoke | obs | fleet | chaos) ;;
     *)
-        echo "ci: unknown stage '$stage' (stages: vet lint build test bench smoke obs fleet chaos)" >&2
+        echo "ci: unknown stage '$stage' (stages: vet lint build test fuzz bench smoke obs fleet chaos)" >&2
         exit 2
         ;;
     esac

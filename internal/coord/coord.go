@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -66,13 +67,6 @@ type Config struct {
 	// RunID prefixes transaction names so re-runs against long-lived
 	// servers do not collide. Empty means "run".
 	RunID string
-	// FastPath uses the combined proposeAndExecute operation (§5 NTCP
-	// performance work): one round trip per site per step instead of two.
-	// The trade-off is the loss of the cross-site accept barrier — a site
-	// rejecting a step can no longer prevent the other sites from having
-	// executed theirs — so it is appropriate for rehearsed near-real-time
-	// experiments whose proposals are known to satisfy site policy.
-	FastPath bool
 	// Pipeline overlaps consecutive steps (the §5 "ongoing work" protocol):
 	// once step N's displacement is known, the coordinator fuses execute(N)
 	// with a speculative propose(N+1) at the integrator's predicted
@@ -80,11 +74,10 @@ type Config struct {
 	// steady-state WAN cost of a step is one one-way-latency-bound round
 	// trip instead of ~2.5 RTTs. When step N's forces move the trajectory
 	// beyond PipelineTolerance, the speculative proposals are cancelled and
-	// step N+1 is re-proposed at its actual displacement. Unlike FastPath,
-	// the cross-site accept barrier is preserved: a proposal is never
-	// executed before every site has accepted it. Defaults off so the
-	// baseline E8 numbers stay comparable. Mutually exclusive with
-	// FastPath.
+	// step N+1 is re-proposed at its actual displacement. Either way the
+	// cross-site accept barrier holds: a proposal is never executed before
+	// every site has accepted it. Off, each step proposes and then executes
+	// (two round trips), so the baseline E8 numbers stay comparable.
 	Pipeline bool
 	// PipelineTolerance is the per-DOF displacement error (model units —
 	// metres for MOST) within which a speculatively accepted step equals
@@ -205,9 +198,6 @@ func New(cfg Config, sites ...Site) (*Coordinator, error) {
 	if cfg.StepTimeout <= 0 {
 		cfg.StepTimeout = 60 * time.Second
 	}
-	if cfg.Pipeline && cfg.FastPath {
-		return nil, fmt.Errorf("coord: Pipeline and FastPath are mutually exclusive")
-	}
 	if cfg.PipelineTolerance == 0 {
 		cfg.PipelineTolerance = defaultPipelineTolerance
 	}
@@ -268,26 +258,62 @@ func revisionName(base string, rev int) string {
 	return base + "/r" + strconv.Itoa(rev)
 }
 
-// proposeRevised proposes p, walking past cancelled incarnations of the
-// same transaction. A propose replayed against the dedupe table returns
-// whatever record the name resolved to — including one a previous
-// incarnation cancelled on its abort path. Executing a cancelled
-// transaction is a conflict, so the coordinator deterministically bumps a
-// revision suffix (base, base/r1, base/r2, …) until it reaches a live or
-// fresh transaction. Every incarnation replays the same walk, so names
-// stay a pure function of the fault history. On success p.Name holds the
-// name actually proposed (the one execute and cancel must use).
+// proposeRevised proposes p, walking past incarnations of the same
+// transaction that cannot be executed now. A propose replayed against the
+// dedupe table returns whatever record the name resolved to, and the
+// server ignores the params of a replay:
+//   - A record a previous incarnation cancelled on its abort path cannot be
+//     executed (a conflict).
+//   - An ACCEPTED record from a dead pipelined incarnation may carry that
+//     incarnation's *predicted* displacements, not the ones proposed now;
+//     executing it would apply the wrong displacement, so a mismatch beyond
+//     the speculation tolerance cancels the stale transaction first. Fresh
+//     accepts echo the proposal exactly, and a resumed run re-proposes
+//     bit-identical displacements, so the check never fires on them.
+//
+// Either way the coordinator deterministically bumps a revision suffix
+// (base, base/r1, base/r2, …) until it reaches a live or fresh
+// transaction. Every incarnation replays the same walk, so names stay a
+// pure function of the fault history. On success p.Name holds the name
+// actually proposed (the one execute and cancel must use).
 func (c *Coordinator) proposeRevised(ctx context.Context, cl *core.Client, p *core.Proposal) (*core.Record, error) {
 	base := p.Name
+	want := p.Actions[0].Displacements
+	guardTol := math.Max(0, c.cfg.PipelineTolerance)
 	for rev := 0; rev <= maxProposalRevisions; rev++ {
 		p.Name = revisionName(base, rev)
 		rec, err := cl.Propose(ctx, p)
-		if err != nil || rec.State != core.StateCancelled {
-			return rec, err
+		if err != nil {
+			return nil, err
 		}
-		c.tel.Counter("coord.proposals.revised").Inc()
+		switch {
+		case rec.State == core.StateCancelled:
+			c.tel.Counter("coord.proposals.revised").Inc()
+			continue
+		case rec.State == core.StateAccepted && !displacementsWithin(rec, want, guardTol):
+			if _, cerr := cl.Cancel(ctx, p.Name); cerr != nil {
+				return nil, fmt.Errorf("cancel stale speculation %s: %w", p.Name, cerr)
+			}
+			c.tel.Counter("coord.proposals.stale_cancelled").Inc()
+			continue
+		}
+		return rec, nil
 	}
 	return nil, fmt.Errorf("transaction %s: %d revisions all cancelled", base, maxProposalRevisions)
+}
+
+// displacementsWithin reports whether a record's proposed action matches
+// the intended displacements within tol on every DOF.
+func displacementsWithin(rec *core.Record, want []float64, tol float64) bool {
+	if len(rec.Actions) != 1 || len(rec.Actions[0].Displacements) != len(want) {
+		return false
+	}
+	for j, v := range want {
+		if math.Abs(rec.Actions[0].Displacements[j]-v) > tol {
+			return false
+		}
+	}
+	return true
 }
 
 // cancelAccepted cancels every accepted transaction in outcomes,
@@ -318,42 +344,76 @@ func (c *Coordinator) cancelAccepted(ctx context.Context, outcomes []siteOutcome
 	wg.Wait()
 }
 
-// restore performs one distributed restoring-force evaluation: propose to
-// every site, and if all accept, execute everywhere and gather forces.
-// On any rejection the sibling transactions are cancelled (the negotiation
-// behaviour §2.1 calls out).
-func (c *Coordinator) restore(ctx context.Context, step *int, d []float64) ([]float64, error) {
-	n := len(d)
+// localOf projects a global displacement vector onto a site's DOFs.
+func localOf(d []float64, dofs []int) []float64 {
+	local := make([]float64, len(dofs))
+	for j, g := range dofs {
+		local[j] = d[g]
+	}
+	return local
+}
+
+// proposal builds site i's transaction for step at displacement d.
+func (c *Coordinator) proposal(i, step int, d []float64) *core.Proposal {
+	s := c.sites[i]
+	return &core.Proposal{
+		Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, step, s.Name),
+		Actions: []core.Action{{
+			ControlPoint:  s.ControlPoint,
+			Displacements: localOf(d, s.DOFs),
+		}},
+	}
+}
+
+// restore performs one distributed restoring-force evaluation. No site
+// executes before every site has accepted the step: either the sites
+// already hold accepted speculative proposals for it within tolerance (a
+// pipeline hit, see pipeline.go), or the coordinator runs the propose
+// barrier at the actual displacement. The execute phase then runs
+// everywhere and gathers forces; under Pipeline it also carries the next
+// step's speculative propose.
+func (c *Coordinator) restore(ctx context.Context, step int, d []float64) ([]float64, error) {
 	stepCtx, cancel := context.WithTimeout(ctx, c.cfg.StepTimeout)
 	defer cancel()
 
-	if c.cfg.FastPath {
-		return c.restoreFast(stepCtx, *step, d, n)
+	var names []string
+	if c.pipe.step == step && c.pipe.ok && c.predictionHolds(d) {
+		c.tel.Counter("coord.pipeline.hits").Inc()
+		names = c.pipe.names
+	} else {
+		if c.pipe.step != 0 {
+			// Rollback: the speculation is unusable (mispredicted, partially
+			// accepted, or stale) — cancel the accepted transactions so they
+			// cannot pin server state, then re-propose for real.
+			c.tel.Counter("coord.pipeline.mispredicts").Inc()
+			c.cancelAccepted(stepCtx, c.pipe.outcomes, c.pipe.names)
+		}
+		var err error
+		if names, err = c.propose(stepCtx, step, d); err != nil {
+			c.pipe.step = 0
+			return nil, err
+		}
 	}
-	if c.cfg.Pipeline {
-		return c.restorePipelined(stepCtx, *step, d, n)
-	}
+	c.pipe.step = 0 // the speculation (if any) is consumed
+	return c.execute(stepCtx, step, d, names, c.cfg.Pipeline && step < c.cfg.Steps)
+}
 
-	// Phase 1: propose everywhere in parallel.
+// propose runs the propose barrier for one step at its actual
+// displacement, returning the per-site transaction names to execute. Any
+// abort — rejection or transport failure — cancels the siblings that
+// already accepted before returning (the negotiation behaviour §2.1 calls
+// out), or their transactions pin server-side state and collide with this
+// step's replay after a resume.
+func (c *Coordinator) propose(ctx context.Context, step int, d []float64) ([]string, error) {
 	proposals := make([]*core.Proposal, len(c.sites))
 	outcomes := make([]siteOutcome, len(c.sites))
 	var wg sync.WaitGroup
-	for i, s := range c.sites {
-		local := make([]float64, len(s.DOFs))
-		for j, g := range s.DOFs {
-			local[j] = d[g]
-		}
-		proposals[i] = &core.Proposal{
-			Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, *step, s.Name),
-			Actions: []core.Action{{
-				ControlPoint:  s.ControlPoint,
-				Displacements: local,
-			}},
-		}
+	for i := range c.sites {
+		proposals[i] = c.proposal(i, step, d)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pctx, sp := c.tracer.Start(stepCtx, "coord.propose", trace.KindInternal)
+			pctx, sp := c.tracer.Start(ctx, "coord.propose", trace.KindInternal)
 			sp.SetAttr("site", c.sites[i].Name)
 			rec, err := c.proposeRevised(pctx, c.sites[i].Client, proposals[i])
 			sp.SetError(err)
@@ -364,12 +424,11 @@ func (c *Coordinator) restore(ctx context.Context, step *int, d []float64) ([]fl
 	wg.Wait()
 
 	// names[i] is the transaction name site i actually holds — the base
-	// name or a revision — and the one phase 2 and the abort path must use.
+	// name or a revision — and the one execute and the abort path must use.
 	names := make([]string, len(c.sites))
 	for i := range proposals {
 		names[i] = proposals[i].Name
 	}
-
 	var rejected *siteOutcome
 	var abortErr error
 	for i := range outcomes {
@@ -382,98 +441,105 @@ func (c *Coordinator) restore(ctx context.Context, step *int, d []float64) ([]fl
 		}
 	}
 	if rejected != nil || abortErr != nil {
-		// Any phase-1 abort — rejection or transport failure — must cancel
-		// the siblings that already accepted, or their transactions pin
-		// server-side state and collide with this step's replay after a
-		// resume.
-		c.cancelAccepted(stepCtx, outcomes, names)
+		c.cancelAccepted(ctx, outcomes, names)
 		if rejected != nil {
 			return nil, fmt.Errorf("site %s rejected proposal: %s: %w",
 				c.sites[rejected.site].Name, rejected.rec.Error, core.ErrRejected)
 		}
 		return nil, abortErr
 	}
+	return names, nil
+}
 
-	// Phase 2: execute everywhere in parallel.
+// execute runs the execute phase of one step: every site executes its
+// accepted transaction names[i] and the coordinator gathers the forces.
+// With speculate set, each site's execute travels in one batched envelope
+// with a speculative propose of the next step at the predicted
+// displacement, and the outcome is left in c.pipe for the next restore.
+func (c *Coordinator) execute(ctx context.Context, step int, d []float64, names []string, speculate bool) ([]float64, error) {
+	spanName := "coord.execute"
+	var predicted []float64
+	var specOutcomes []siteOutcome
+	var specNames []string
+	if speculate {
+		spanName = "coord.pipebatch"
+		predicted = c.predict(d)
+		specOutcomes = make([]siteOutcome, len(c.sites))
+		specNames = make([]string, len(c.sites))
+	}
+	outcomes := make([]siteOutcome, len(c.sites))
+	var wg sync.WaitGroup
 	for i := range c.sites {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ectx, sp := c.tracer.Start(stepCtx, "coord.execute", trace.KindInternal)
+			ectx, sp := c.tracer.Start(ctx, spanName, trace.KindInternal)
 			sp.SetAttr("site", c.sites[i].Name)
-			rec, err := c.sites[i].Client.Execute(ectx, proposals[i].Name)
+			defer sp.End()
+			cl := c.sites[i].Client
+			if !speculate {
+				rec, err := cl.Execute(ectx, names[i])
+				sp.SetError(err)
+				outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
+				return
+			}
+			p := c.proposal(i, step+1, predicted)
+			specNames[i] = p.Name
+			execRec, propRec, err := cl.ExecuteAndPropose(ectx, names[i], p)
 			sp.SetError(err)
-			sp.End()
-			outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
+			execErr := err
+			if execRec != nil {
+				// The execute half landed; any error belongs to the
+				// speculative propose, which merely voids the speculation.
+				execErr = nil
+			}
+			outcomes[i] = siteOutcome{site: i, rec: execRec, err: execErr}
+			specOutcomes[i] = siteOutcome{site: i, rec: propRec, err: err}
 		}(i)
 	}
 	wg.Wait()
 
-	forces := make([]float64, n)
+	forces := make([]float64, len(d))
 	for i := range outcomes {
 		o := &outcomes[i]
-		if o.err != nil {
-			return nil, fmt.Errorf("site %s execute: %w", c.sites[o.site].Name, o.err)
-		}
-		if o.rec.State != core.StateExecuted {
-			return nil, fmt.Errorf("site %s transaction %s: %s: %w",
-				c.sites[o.site].Name, o.rec.Name, o.rec.Error, core.ErrFailed)
-		}
+		var gerr error
 		s := c.sites[o.site]
-		if len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs) {
-			return nil, fmt.Errorf("site %s returned malformed results", s.Name)
+		switch {
+		case o.err != nil:
+			gerr = fmt.Errorf("site %s execute: %w", s.Name, o.err)
+		case o.rec.State != core.StateExecuted:
+			gerr = fmt.Errorf("site %s transaction %s: %s: %w",
+				s.Name, o.rec.Name, o.rec.Error, core.ErrFailed)
+		case len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs):
+			gerr = fmt.Errorf("site %s returned malformed results", s.Name)
+		}
+		if gerr != nil {
+			// The step is dead; take the speculative proposals accepted in
+			// this same batch down with it, or they orphan.
+			c.cancelAccepted(ctx, specOutcomes, specNames)
+			return nil, gerr
 		}
 		for j, g := range s.DOFs {
 			forces[g] += o.rec.Results[0].Forces[j]
 		}
 	}
-	return forces, nil
-}
 
-// restoreFast is the single-round-trip variant of restore: every site gets
-// one proposeAndExecute call. Rejections and failures still abort the step.
-func (c *Coordinator) restoreFast(ctx context.Context, step int, d []float64, n int) ([]float64, error) {
-	outcomes := make([]siteOutcome, len(c.sites))
-	var wg sync.WaitGroup
-	for i, s := range c.sites {
-		local := make([]float64, len(s.DOFs))
-		for j, g := range s.DOFs {
-			local[j] = d[g]
+	if speculate {
+		ok := true
+		for i := range specOutcomes {
+			o := &specOutcomes[i]
+			if o.err != nil || o.rec == nil || o.rec.State != core.StateAccepted {
+				ok = false
+				break
+			}
 		}
-		p := &core.Proposal{
-			Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, step, s.Name),
-			Actions: []core.Action{{
-				ControlPoint:  s.ControlPoint,
-				Displacements: local,
-			}},
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fctx, sp := c.tracer.Start(ctx, "coord.faststep", trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			rec, err := c.sites[i].Client.RunFast(fctx, p)
-			sp.SetError(err)
-			sp.End()
-			outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
-		}(i)
+		c.pipe.step = step + 1
+		c.pipe.ok = ok
+		c.pipe.predicted = predicted
+		c.pipe.names = specNames
+		c.pipe.outcomes = specOutcomes
 	}
-	wg.Wait()
-
-	forces := make([]float64, n)
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil {
-			return nil, fmt.Errorf("site %s fast step: %w", c.sites[o.site].Name, o.err)
-		}
-		s := c.sites[o.site]
-		if len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs) {
-			return nil, fmt.Errorf("site %s returned malformed results", s.Name)
-		}
-		for j, g := range s.DOFs {
-			forces[g] += o.rec.Results[0].Forces[j]
-		}
-	}
+	c.pipe.lastD = append(c.pipe.lastD[:0], d...)
 	return forces, nil
 }
 
@@ -501,7 +567,7 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		C: c.cfg.C,
 		K: c.cfg.K,
 		R: func(d []float64) ([]float64, error) {
-			return c.restore(stepCtx, &step, d)
+			return c.restore(stepCtx, step, d)
 		},
 	}
 	report := &Report{ResumedFrom: -1}

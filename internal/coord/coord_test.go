@@ -360,80 +360,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestFastPathMatchesBaseline(t *testing.T) {
-	// The §5 fast path must produce the identical trajectory — only the
-	// number of round trips changes.
-	springs := func() []structural.Element {
-		return []structural.Element{
-			structural.NewLinearElastic(900),
-			structural.NewLinearElastic(1100),
-		}
-	}
-	run := func(fast bool) *structural.History {
-		h := newHarness(t, springs(), nil)
-		cfg := sdofConfig(100, 2000, 100)
-		cfg.FastPath = fast
-		c, err := New(cfg, h.coordSites(core.DefaultRetry)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hist, report, err := c.Run(context.Background())
-		if err != nil || !report.Completed {
-			t.Fatalf("run(fast=%v): %+v, %v", fast, report, err)
-		}
-		return hist
-	}
-	base := run(false)
-	fast := run(true)
-	for i := range base.States {
-		if base.States[i].D[0] != fast.States[i].D[0] {
-			t.Fatalf("step %d: fast path diverged", i)
-		}
-	}
-}
-
-func TestFastPathRecoversTransientFaults(t *testing.T) {
-	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, nil)
-	cfg := sdofConfig(100, 1000, 60)
-	cfg.FastPath = true
-	cfg.OnStep = func(st structural.State) {
-		if st.Step == 20 {
-			h.sites[0].injector.FailNext(2)
-		}
-	}
-	c, err := New(cfg, h.coordSites(core.DefaultRetry)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := c.Run(context.Background())
-	if err != nil || !report.Completed {
-		t.Fatalf("report = %+v, %v", report, err)
-	}
-	if report.Recovered == 0 {
-		t.Fatal("fast path did not recover injected faults")
-	}
-}
-
-func TestFastPathRejectionAborts(t *testing.T) {
-	pol := []*core.SitePolicy{{PointLimits: map[string]core.Limits{
-		"drift": {MaxDisplacement: 1e-9},
-	}}}
-	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, pol)
-	cfg := sdofConfig(100, 1000, 30)
-	cfg.FastPath = true
-	c, err := New(cfg, h.coordSites(core.DefaultRetry)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := c.Run(context.Background())
-	if err == nil || report.Completed {
-		t.Fatalf("fast-path run should abort on rejection: %+v", report)
-	}
-	if !IsRejection(err) {
-		t.Fatalf("err = %v, want rejection", err)
-	}
-}
-
 // Multi-DOF distributed topology: a two-story shear model with one site per
 // story DOF plus one site spanning both (the coordinator's gather/scatter
 // across heterogeneous DOF maps).

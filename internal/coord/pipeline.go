@@ -1,19 +1,20 @@
-// Pipelined stepping: the §5 "ongoing work" protocol. The classic restore
-// path pays ~2.5 WAN round trips per step (a propose barrier, then an
-// execute barrier). The pipelined path overlaps adjacent steps instead:
-// while step N executes, the coordinator already proposes step N+1 at the
-// displacement the integrator is predicted to ask for — both carried to
-// each site in ONE batched signed envelope (core.ExecuteAndPropose). In
-// steady state a step therefore costs a single round trip, and since the
-// propose for the step was issued one step earlier, the wall-clock cost
-// trends toward one one-way latency.
+// Pipelined stepping: the §5 "ongoing work" protocol. Without it a step
+// pays ~2.5 WAN round trips (a propose barrier, then an execute barrier).
+// The pipelined path overlaps adjacent steps instead: while step N
+// executes, the coordinator already proposes step N+1 at the displacement
+// the integrator is predicted to ask for — both carried to each site in
+// ONE batched signed envelope (core.ExecuteAndPropose). In steady state a
+// step therefore costs a single round trip, and since the propose for the
+// step was issued one step earlier, the wall-clock cost trends toward one
+// one-way latency. Both modes run the same restore loop (coord.go);
+// speculation is the only difference.
 //
 // Speculation is safe because of the same two properties that make
 // retries and checkpoint/resume safe: transaction names are deterministic
 // and the server dedupes by name, so a speculative proposal that turns out
 // wrong is just cancelled (never executed), and a crash mid-speculation
-// leaves records that the revision/mismatch guards in the propose path
-// walk past deterministically on resume.
+// leaves records that the revision/mismatch guards in proposeRevised walk
+// past deterministically on resume.
 //
 // Rollback rule: when the actual displacement of step N+1 differs from the
 // prediction by more than Config.PipelineTolerance on any DOF, the
@@ -22,15 +23,7 @@
 // displacement — correctness never depends on the predictor.
 package coord
 
-import (
-	"context"
-	"fmt"
-	"math"
-	"sync"
-
-	"neesgrid/internal/core"
-	"neesgrid/internal/trace"
-)
+import "math"
 
 // defaultPipelineTolerance is the per-DOF speculation tolerance when the
 // config leaves it zero: 1 mm, on the order of hydraulic actuator
@@ -52,7 +45,7 @@ type pipeState struct {
 	// rollback path cancels the accepted ones).
 	outcomes []siteOutcome
 	// lastD is the previous step's requested displacement — the d_{N-1}
-	// of the linear predictor. Nil until the first pipelined step commits.
+	// of the linear predictor. Nil until the first step executes.
 	lastD []float64
 }
 
@@ -86,239 +79,4 @@ func (c *Coordinator) predictionHolds(d []float64) bool {
 		}
 	}
 	return true
-}
-
-// displacementsWithin reports whether a record's proposed action matches
-// the intended displacements within tol on every DOF.
-func displacementsWithin(rec *core.Record, want []float64, tol float64) bool {
-	if len(rec.Actions) != 1 || len(rec.Actions[0].Displacements) != len(want) {
-		return false
-	}
-	for j, v := range want {
-		if math.Abs(rec.Actions[0].Displacements[j]-v) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// proposeRevisedChecked is proposeRevised plus the pipelined-mode staleness
-// guard: a propose replayed against an ACCEPTED record from a dead
-// incarnation may carry that incarnation's *predicted* displacements, not
-// the ones being proposed now (the server ignores params on a dedupe
-// replay). Executing it would apply the wrong displacement, so a mismatch
-// beyond the speculation tolerance cancels the stale transaction and bumps
-// the revision. Fresh accepts echo the proposal exactly, so the guard
-// never fires on them.
-func (c *Coordinator) proposeRevisedChecked(ctx context.Context, cl *core.Client, p *core.Proposal) (*core.Record, error) {
-	base := p.Name
-	want := p.Actions[0].Displacements
-	guardTol := math.Max(0, c.cfg.PipelineTolerance)
-	for rev := 0; rev <= maxProposalRevisions; rev++ {
-		p.Name = revisionName(base, rev)
-		rec, err := cl.Propose(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case rec.State == core.StateCancelled:
-			c.tel.Counter("coord.proposals.revised").Inc()
-			continue
-		case rec.State == core.StateAccepted && !displacementsWithin(rec, want, guardTol):
-			if _, cerr := cl.Cancel(ctx, p.Name); cerr != nil {
-				return nil, fmt.Errorf("cancel stale speculation %s: %w", p.Name, cerr)
-			}
-			c.tel.Counter("coord.proposals.stale_cancelled").Inc()
-			continue
-		}
-		return rec, nil
-	}
-	return nil, fmt.Errorf("transaction %s: %d revisions all cancelled", base, maxProposalRevisions)
-}
-
-// localOf projects a global displacement vector onto a site's DOFs.
-func localOf(d []float64, dofs []int) []float64 {
-	local := make([]float64, len(dofs))
-	for j, g := range dofs {
-		local[j] = d[g]
-	}
-	return local
-}
-
-// proposeActual runs the pipelined path's explicit propose barrier for one
-// step at its actual displacement (the non-speculative Case A), returning
-// the per-site transaction names to execute. Any abort — rejection or
-// transport failure — cancels the accepted siblings before returning.
-func (c *Coordinator) proposeActual(ctx context.Context, step int, d []float64) ([]string, error) {
-	proposals := make([]*core.Proposal, len(c.sites))
-	outcomes := make([]siteOutcome, len(c.sites))
-	var wg sync.WaitGroup
-	for i, s := range c.sites {
-		proposals[i] = &core.Proposal{
-			Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, step, s.Name),
-			Actions: []core.Action{{
-				ControlPoint:  s.ControlPoint,
-				Displacements: localOf(d, s.DOFs),
-			}},
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pctx, sp := c.tracer.Start(ctx, "coord.propose", trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			rec, err := c.proposeRevisedChecked(pctx, c.sites[i].Client, proposals[i])
-			sp.SetError(err)
-			sp.End()
-			outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
-		}(i)
-	}
-	wg.Wait()
-
-	names := make([]string, len(c.sites))
-	for i := range proposals {
-		names[i] = proposals[i].Name
-	}
-	var rejected *siteOutcome
-	var abortErr error
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil && abortErr == nil {
-			abortErr = fmt.Errorf("site %s propose: %w", c.sites[o.site].Name, o.err)
-		}
-		if o.err == nil && o.rec.State == core.StateRejected && rejected == nil {
-			rejected = o
-		}
-	}
-	if rejected != nil || abortErr != nil {
-		c.cancelAccepted(ctx, outcomes, names)
-		if rejected != nil {
-			return nil, fmt.Errorf("site %s rejected proposal: %s: %w",
-				c.sites[rejected.site].Name, rejected.rec.Error, core.ErrRejected)
-		}
-		return nil, abortErr
-	}
-	return names, nil
-}
-
-// restorePipelined is one restoring-force evaluation under the pipelined
-// protocol. Steady state ("hit"): the sites already hold accepted
-// proposals for this step at the predicted displacement, so the whole step
-// is one batched execute+propose(next) envelope. Mispredict or cold start:
-// cancel whatever speculation is outstanding, run an explicit propose
-// barrier at the actual displacement, then the same batched envelope.
-// Unlike FastPath, no proposal is ever executed before every site has
-// accepted it — the cross-site accept barrier moved a step earlier, it
-// did not disappear.
-func (c *Coordinator) restorePipelined(stepCtx context.Context, step int, d []float64, n int) ([]float64, error) {
-	hit := c.pipe.step == step && c.pipe.ok && c.predictionHolds(d)
-	var execNames []string
-	if hit {
-		c.tel.Counter("coord.pipeline.hits").Inc()
-		execNames = c.pipe.names
-	} else {
-		if c.pipe.step != 0 {
-			// Rollback: the speculation is unusable (mispredicted, partially
-			// accepted, or stale) — cancel the accepted transactions so they
-			// cannot pin server state, then re-propose for real.
-			c.tel.Counter("coord.pipeline.mispredicts").Inc()
-			c.cancelAccepted(stepCtx, c.pipe.outcomes, c.pipe.names)
-		}
-		names, err := c.proposeActual(stepCtx, step, d)
-		if err != nil {
-			c.pipe.step = 0
-			return nil, err
-		}
-		execNames = names
-	}
-	c.pipe.step = 0 // the speculation (if any) is consumed
-
-	// Batch phase: execute this step and, unless it is the last, propose
-	// the next one speculatively — one envelope per site.
-	last := step >= c.cfg.Steps
-	var predicted []float64
-	if !last {
-		predicted = c.predict(d)
-	}
-	outcomes := make([]siteOutcome, len(c.sites))
-	specOutcomes := make([]siteOutcome, len(c.sites))
-	specNames := make([]string, len(c.sites))
-	var wg sync.WaitGroup
-	for i := range c.sites {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ectx, sp := c.tracer.Start(stepCtx, "coord.pipebatch", trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			defer sp.End()
-			if last {
-				rec, err := c.sites[i].Client.Execute(ectx, execNames[i])
-				sp.SetError(err)
-				outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
-				return
-			}
-			s := c.sites[i]
-			p := &core.Proposal{
-				Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, step+1, s.Name),
-				Actions: []core.Action{{
-					ControlPoint:  s.ControlPoint,
-					Displacements: localOf(predicted, s.DOFs),
-				}},
-			}
-			specNames[i] = p.Name
-			execRec, propRec, err := s.Client.ExecuteAndPropose(ectx, execNames[i], p)
-			sp.SetError(err)
-			execErr := err
-			if execRec != nil {
-				// The execute half landed; any error belongs to the
-				// speculative propose, which merely voids the speculation.
-				execErr = nil
-			}
-			outcomes[i] = siteOutcome{site: i, rec: execRec, err: execErr}
-			specOutcomes[i] = siteOutcome{site: i, rec: propRec, err: err}
-		}(i)
-	}
-	wg.Wait()
-
-	forces := make([]float64, n)
-	for i := range outcomes {
-		o := &outcomes[i]
-		var gerr error
-		s := c.sites[o.site]
-		switch {
-		case o.err != nil:
-			gerr = fmt.Errorf("site %s execute: %w", s.Name, o.err)
-		case o.rec.State != core.StateExecuted:
-			gerr = fmt.Errorf("site %s transaction %s: %s: %w",
-				s.Name, o.rec.Name, o.rec.Error, core.ErrFailed)
-		case len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs):
-			gerr = fmt.Errorf("site %s returned malformed results", s.Name)
-		}
-		if gerr != nil {
-			// The step is dead; take the speculative proposals accepted in
-			// this same batch down with it, or they orphan.
-			c.cancelAccepted(stepCtx, specOutcomes, specNames)
-			return nil, gerr
-		}
-		for j, g := range s.DOFs {
-			forces[g] += o.rec.Results[0].Forces[j]
-		}
-	}
-
-	if !last {
-		ok := true
-		for i := range specOutcomes {
-			o := &specOutcomes[i]
-			if o.err != nil || o.rec == nil || o.rec.State != core.StateAccepted {
-				ok = false
-				break
-			}
-		}
-		c.pipe.step = step + 1
-		c.pipe.ok = ok
-		c.pipe.predicted = predicted
-		c.pipe.names = specNames
-		c.pipe.outcomes = specOutcomes
-	}
-	c.pipe.lastD = append(c.pipe.lastD[:0], d...)
-	return forces, nil
 }

@@ -132,16 +132,6 @@ func TestPipelinedRecoversTransientFaults(t *testing.T) {
 	}
 }
 
-func TestPipelineFastPathMutuallyExclusive(t *testing.T) {
-	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, nil)
-	cfg := sdofConfig(100, 1000, 10)
-	cfg.Pipeline = true
-	cfg.FastPath = true
-	if _, err := New(cfg, h.coordSites(core.NoRetry)...); err == nil {
-		t.Fatal("Pipeline+FastPath must be rejected")
-	}
-}
-
 // Checkpoint/resume under the pipelined protocol with forced rollback: the
 // crash leaves an orphaned speculative proposal at the site, holding the
 // dead incarnation's PREDICTED displacement. The resumed run must cancel

@@ -58,6 +58,19 @@ func (f *fixture) client(retry RetryPolicy, hc *http.Client) *Client {
 	return NewClient(og, retry)
 }
 
+// countingTransport counts wire round trips.
+type countingTransport struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
 // flakyTransport fails the first n round trips with a transport error.
 type flakyTransport struct {
 	mu       sync.Mutex

@@ -176,31 +176,6 @@ func TestStopIdempotentAndRepliesAfterStop(t *testing.T) {
 	}
 }
 
-// The fast path routes through the same gate: ProposeAndExecute during
-// drain is refused with the retryable code.
-func TestFastPathRefusedDuringDrain(t *testing.T) {
-	plug := newSlowPlugin()
-	s := NewServer(plug, nil, ServerOptions{})
-	ctx := context.Background()
-	if _, err := s.Propose(ctx, "coord", proposal("fp-drain", 0.01)); err != nil {
-		t.Fatal(err)
-	}
-	startDetachedExecution(t, s, "fp-drain")
-	<-plug.started
-	done := make(chan error, 1)
-	stopCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	go func() { done <- s.Stop(stopCtx) }()
-	waitFor(t, func() bool { return s.Healthy() != nil })
-	if _, err := s.ProposeAndExecute(ctx, "coord", proposal("fp-new", 0.01)); !isUnavailable(err) {
-		t.Fatalf("ProposeAndExecute during drain = %v, want CodeUnavailable", err)
-	}
-	close(plug.release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The satellite scenario end-to-end over a real container and a faultnet
 // WAN transport: a retrying client whose call lands mid-drain sees the
 // retryable NTCP code — not a connection reset — because the NTCP server

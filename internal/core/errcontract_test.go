@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// The fast-path error contracts: RejectionError and ExecutionError must
-// keep satisfying errors.Is(…, ErrRejected/ErrFailed) no matter how the
-// record reached the client — first decision, a retry that recovered, or a
-// dedupe replay of a terminal record.
+// The error contracts of Run: a rejection and a failed execution must keep
+// satisfying errors.Is(…, ErrRejected/ErrFailed), with the decided record
+// returned alongside, no matter how the record reached the client — first
+// decision, a retry that recovered, or a dedupe replay of a terminal record.
 
 func TestRejectionErrorSurvivesRetryLoop(t *testing.T) {
 	pol := &SitePolicy{PointLimits: map[string]Limits{"drift": {MaxDisplacement: 0.01}}}
@@ -20,13 +20,9 @@ func TestRejectionErrorSurvivesRetryLoop(t *testing.T) {
 	ft := &flakyTransport{failures: 1}
 	cl := f.client(DefaultRetry, &http.Client{Transport: ft})
 
-	rec, err := cl.RunFast(context.Background(), proposal("too-big", 0.5))
+	rec, err := cl.Run(context.Background(), proposal("too-big", 0.5))
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected through the retry loop", err)
-	}
-	var re *RejectionError
-	if !errors.As(err, &re) || re.Record.State != StateRejected {
-		t.Fatalf("err = %v, want *RejectionError carrying the record", err)
 	}
 	if rec == nil || rec.State != StateRejected {
 		t.Fatalf("record = %+v", rec)
@@ -44,13 +40,12 @@ func TestExecutionErrorSurvivesRetryLoop(t *testing.T) {
 	ft := &flakyTransport{failures: 1}
 	cl := f.client(DefaultRetry, &http.Client{Transport: ft})
 
-	_, err := cl.RunFast(context.Background(), proposal("doomed", 0.01))
+	rec, err := cl.Run(context.Background(), proposal("doomed", 0.01))
 	if !errors.Is(err, ErrFailed) {
 		t.Fatalf("err = %v, want ErrFailed through the retry loop", err)
 	}
-	var ee *ExecutionError
-	if !errors.As(err, &ee) || ee.Record.State != StateFailed {
-		t.Fatalf("err = %v, want *ExecutionError carrying the record", err)
+	if rec == nil || rec.State != StateFailed {
+		t.Fatalf("record = %+v", rec)
 	}
 }
 
@@ -60,12 +55,12 @@ func TestErrorContractsThroughDedupeReplay(t *testing.T) {
 	cl := f.client(NoRetry, nil)
 	ctx := context.Background()
 
-	if _, err := cl.RunFast(ctx, proposal("too-big", 0.5)); !errors.Is(err, ErrRejected) {
+	if _, err := cl.Run(ctx, proposal("too-big", 0.5)); !errors.Is(err, ErrRejected) {
 		t.Fatalf("first decision: %v", err)
 	}
 	// The same name again: the server answers from the transaction table,
 	// and the replayed terminal record must map to the same error identity.
-	if _, err := cl.RunFast(ctx, proposal("too-big", 0.5)); !errors.Is(err, ErrRejected) {
+	if _, err := cl.Run(ctx, proposal("too-big", 0.5)); !errors.Is(err, ErrRejected) {
 		t.Fatalf("dedupe replay: %v", err)
 	}
 	if f.server.Stats().DedupedReplay == 0 {
@@ -83,10 +78,10 @@ func TestErrorContractsThroughDedupeReplay(t *testing.T) {
 	})
 	ff := newFixture(t, failing, nil)
 	fcl := ff.client(NoRetry, nil)
-	if _, err := fcl.RunFast(ctx, proposal("doomed", 0.005)); !errors.Is(err, ErrFailed) {
+	if _, err := fcl.Run(ctx, proposal("doomed", 0.005)); !errors.Is(err, ErrFailed) {
 		t.Fatalf("first failure: %v", err)
 	}
-	if _, err := fcl.RunFast(ctx, proposal("doomed", 0.005)); !errors.Is(err, ErrFailed) {
+	if _, err := fcl.Run(ctx, proposal("doomed", 0.005)); !errors.Is(err, ErrFailed) {
 		t.Fatalf("replayed failure: %v", err)
 	}
 	mu.Lock()

@@ -289,8 +289,8 @@ func (s *Server) expire(name string) {
 // Execute runs an accepted transaction at most once. Concurrent or retried
 // Execute calls for the same name wait for (or pick up) the single
 // execution's outcome. An Execute that lands mid-validation — a retried
-// request racing the original Propose, or a fast-path replay — waits for the
-// propose decision instead of faulting: before this fix it fell through to a
+// request racing the original Propose — waits for the propose decision
+// instead of faulting: before this fix it fell through to a
 // non-retryable CodeInternal, turning a benign race into a terminal error
 // (the class of transient-failure mishandling that ended the public MOST
 // run).
@@ -552,7 +552,6 @@ func (s *Server) registerOps() {
 		}
 		return s.Cancel(ctx, caller.Identity, p.Name)
 	})
-	s.registerFastPathOp()
 	s.svc.RegisterOp("get", func(_ context.Context, _ ogsi.Caller, params json.RawMessage) (any, error) {
 		var p nameParams
 		if err := json.Unmarshal(params, &p); err != nil {

@@ -49,14 +49,10 @@ type Spec struct {
 	Faults []Fault
 	// Integrator is the time-stepping scheme; nil = explicit Newmark.
 	Integrator structural.Integrator
-	// FastPath uses the single-round-trip NTCP operation per site per
-	// step (the §5 performance work).
-	FastPath bool
 	// Pipeline overlaps adjacent steps: execute(N) and a speculative
 	// propose(N+1) travel in one batched signed envelope per site, with a
-	// cancel-and-repropose rollback when the prediction misses (the other
-	// §5 direction; see coord.Config.Pipeline). Mutually exclusive with
-	// FastPath.
+	// cancel-and-repropose rollback when the prediction misses (the §5
+	// NTCP performance work; see coord.Config.Pipeline).
 	Pipeline bool
 	// Archive, when non-nil, wires each site's DAQ through a spool
 	// directory into the repository while the run is in progress — the
@@ -432,7 +428,6 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 		Steps:      steps,
 		Ground:     ground.At,
 		RunID:      spec.Name,
-		FastPath:   spec.FastPath,
 		Pipeline:   spec.Pipeline,
 		Telemetry:  e.Telemetry,
 		Tracer:     e.Tracer,

@@ -1,43 +1,26 @@
 package nsds
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
 	"time"
 )
 
-// Client consumes a remote NSDS stream: per-sample over C() (JSON
-// subscriptions) or per-batch over Batches() (binary subscriptions).
+// Client consumes a remote NSDS stream: whole batch frames decoded into
+// sample slices delivered on Batches().
 type Client struct {
 	conn    net.Conn
-	ch      chan Sample   // JSON mode
-	batches chan []Sample // binary mode
+	batches chan []Sample
 }
 
-// Dial connects, subscribes to channels (empty = all), and starts decoding
-// samples into C(). dial overrides the dialer (fault injection); nil means
-// net.Dial.
-func Dial(addr string, buffer int, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	return dialSubscribe(addr, subscribeMsg{Channels: channels, Buffer: buffer}, dial)
-}
-
-// DialCatchUp is Dial plus retained-history delivery: the server sends its
-// retained samples for the channels first, then the live stream — a viewer
-// joining mid-experiment sees history immediately.
-func DialCatchUp(addr string, buffer int, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	return dialSubscribe(addr, subscribeMsg{Channels: channels, Buffer: buffer, CatchUp: true}, dial)
-}
-
-// DialBatches subscribes with the binary wire format: whole batch frames
-// are decoded into sample slices delivered on Batches(). buffer is in
-// batches. This is the relay tier's upstream leg.
+// DialBatches connects, subscribes to channels (empty = all), and starts
+// decoding batch frames into Batches(). buffer is in batches. With catchUp
+// the server sends its retained samples for the channels first, then the
+// live stream — a viewer joining mid-experiment sees history immediately.
+// dial overrides the dialer (fault injection); nil means net.Dial. This is
+// the relay tier's upstream leg.
 func DialBatches(addr string, buffer int, catchUp bool, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	return dialSubscribe(addr, subscribeMsg{Channels: channels, Buffer: buffer, CatchUp: catchUp, Format: "binary"}, dial)
-}
-
-func dialSubscribe(addr string, msg subscribeMsg, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
 	if dial == nil {
 		dial = net.Dial
 	}
@@ -45,70 +28,42 @@ func dialSubscribe(addr string, msg subscribeMsg, dial func(network, addr string
 	if err != nil {
 		return nil, fmt.Errorf("nsds: dial %s: %w", addr, err)
 	}
-	buffer := msg.Buffer
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(msg); err != nil {
+	msg := subscribeMsg{Channels: channels, Buffer: buffer, CatchUp: catchUp}
+	if err := json.NewEncoder(conn).Encode(msg); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("nsds: subscribe: %w", err)
 	}
-	c := &Client{conn: conn}
-	if msg.Format == "binary" {
-		if buffer < 1 {
-			buffer = 64
-		}
-		c.batches = make(chan []Sample, buffer)
-		go func() {
-			defer close(c.batches)
-			dec := newFrameDecoder(conn)
-			for {
-				samples, err := dec.Next()
-				if err != nil {
-					return
-				}
-				c.batches <- samples
-			}
-		}()
-		return c, nil
+	if buffer < 1 {
+		buffer = 64
 	}
-	c.ch = make(chan Sample, buffer)
+	c := &Client{conn: conn, batches: make(chan []Sample, buffer)}
 	go func() {
-		defer close(c.ch)
-		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		for sc.Scan() {
-			var s Sample
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
+		defer close(c.batches)
+		dec := newFrameDecoder(conn)
+		for {
+			samples, err := dec.Next()
+			if err != nil {
 				return
 			}
-			c.ch <- s
+			c.batches <- samples
 		}
 	}()
 	return c, nil
 }
 
-// C returns the received sample stream (nil for binary subscriptions);
-// closed on disconnect.
-func (c *Client) C() <-chan Sample { return c.ch }
-
-// Batches returns the received batch stream (nil for JSON subscriptions);
-// closed on disconnect.
+// Batches returns the received batch stream; closed on disconnect.
 func (c *Client) Batches() <-chan []Sample { return c.batches }
 
 // Close disconnects.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// CollectFor drains samples for a duration (test/diagnostic helper). It
-// works in either mode: batches are flattened into the sample slice.
+// CollectFor drains samples for a duration (test/diagnostic helper),
+// flattening batches into one sample slice.
 func (c *Client) CollectFor(d time.Duration) []Sample {
 	var out []Sample
 	deadline := time.After(d)
 	for {
 		select {
-		case s, ok := <-c.ch:
-			if !ok {
-				return out
-			}
-			out = append(out, s)
 		case b, ok := <-c.batches:
 			if !ok {
 				return out

@@ -11,12 +11,12 @@
 // scaling with the subscriber count on one mutex; a Relay subscribes to an
 // upstream hub over a single connection and re-fans out through its own
 // local hub, so hubs fan out to hubs in a tree instead of one flat hub
-// serving every viewer; the TCP Server speaks either newline-delimited
-// JSON (legacy) or a length-prefixed binary frame format that encodes each
-// published batch once and writes the same bytes to every connection; and
-// the Gateway serves the stream to browser-class viewers over HTTP
-// Server-Sent Events. Every tier keeps the same drop semantics: a slow
-// consumer loses data, the tier above it never blocks.
+// serving every viewer; the TCP Server speaks a length-prefixed binary
+// frame format that encodes each published batch once and writes the same
+// bytes to every connection; and the Gateway serves the stream to
+// browser-class viewers over HTTP Server-Sent Events. Every tier keeps the
+// same drop semantics: a slow consumer loses data, the tier above it never
+// blocks.
 package nsds
 
 import (

@@ -103,7 +103,7 @@ func TestServerClientStream(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := Dial(addr, 64, nil, nil)
+	cl, err := DialBatches(addr, 64, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +113,9 @@ func TestServerClientStream(t *testing.T) {
 	for {
 		h.Publish(Sample{Channel: "uiuc.lvdt1", T: 0.01, Value: 3.25})
 		select {
-		case s := <-cl.C():
-			if s.Channel != "uiuc.lvdt1" || s.Value != 3.25 {
-				t.Fatalf("sample = %+v", s)
+		case b := <-cl.Batches():
+			if len(b) != 1 || b[0].Channel != "uiuc.lvdt1" || b[0].Value != 3.25 {
+				t.Fatalf("batch = %+v", b)
 			}
 			return
 		case <-time.After(10 * time.Millisecond):
@@ -133,7 +133,7 @@ func TestServerClientChannelFilter(t *testing.T) {
 	addr, _ := srv.Start("127.0.0.1:0")
 	defer srv.Close()
 
-	cl, err := Dial(addr, 64, []string{"only.this"}, nil)
+	cl, err := DialBatches(addr, 64, false, []string{"only.this"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +142,9 @@ func TestServerClientChannelFilter(t *testing.T) {
 	h.Publish(Sample{Channel: "other", Value: 1})
 	h.Publish(Sample{Channel: "only.this", Value: 2})
 	select {
-	case s := <-cl.C():
-		if s.Channel != "only.this" {
-			t.Fatalf("filter leaked %q", s.Channel)
+	case b := <-cl.Batches():
+		if len(b) != 1 || b[0].Channel != "only.this" {
+			t.Fatalf("filter leaked %+v", b)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no sample")
@@ -157,13 +157,13 @@ func TestClientCloseEndsStream(t *testing.T) {
 	srv := NewServer(h)
 	addr, _ := srv.Start("127.0.0.1:0")
 	defer srv.Close()
-	cl, err := Dial(addr, 4, nil, nil)
+	cl, err := DialBatches(addr, 4, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = cl.Close()
 	select {
-	case _, ok := <-cl.C():
+	case _, ok := <-cl.Batches():
 		if ok {
 			t.Fatal("expected closed stream")
 		}
@@ -178,7 +178,7 @@ func TestCollectFor(t *testing.T) {
 	srv := NewServer(h)
 	addr, _ := srv.Start("127.0.0.1:0")
 	defer srv.Close()
-	cl, err := Dial(addr, 64, nil, nil)
+	cl, err := DialBatches(addr, 64, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCatchUpOverTCP(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.Publish(Sample{Channel: "c", T: float64(i), Value: float64(i)})
 	}
-	cl, err := DialCatchUp(addr, 16, []string{"c"}, nil)
+	cl, err := DialBatches(addr, 16, true, []string{"c"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

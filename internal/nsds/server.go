@@ -23,15 +23,12 @@ type subscribeMsg struct {
 	Channels []string `json:"channels"`
 	Buffer   int      `json:"buffer"`
 	CatchUp  bool     `json:"catch_up,omitempty"`
-	// Format selects the stream encoding: "" or "json" for the legacy
-	// newline-delimited JSON samples, "binary" for length-prefixed batch
-	// frames (encode-once/write-many).
-	Format string `json:"format,omitempty"`
 }
 
 // Server exposes a hub over TCP: the client sends one JSON subscribe line,
-// then receives the stream — newline-delimited JSON samples by default, or
-// shared binary batch frames when it subscribes with "format":"binary".
+// then receives the stream as binary batch frames (wire.go). Every
+// connection writes the same Frame() bytes its batch produced once, so
+// fanning one batch out to N viewers costs one encode plus N buffer copies.
 type Server struct {
 	hub *Hub
 
@@ -159,73 +156,15 @@ func (s *Server) serve(conn net.Conn) {
 	if err := json.Unmarshal(sc.Bytes(), &msg); err != nil {
 		return
 	}
-	if msg.Format == "binary" {
-		s.serveBinary(conn, msg)
-		return
-	}
-	s.serveJSON(conn, msg)
-}
-
-// serveJSON streams newline-delimited JSON samples — the legacy endpoint.
-func (s *Server) serveJSON(conn net.Conn, msg subscribeMsg) {
-	var sub *Subscription
-	var err error
-	if msg.CatchUp {
-		sub, err = s.hub.SubscribeWithCatchUp(msg.Buffer, msg.Channels...)
-	} else {
-		sub, err = s.hub.Subscribe(msg.Buffer, msg.Channels...)
-	}
-	if err != nil {
-		return
-	}
-	defer sub.Cancel()
-	// Buffer writes and flush only when the subscription runs dry: a burst
-	// of samples coalesces into one syscall instead of one write per sample,
-	// while an idle stream still delivers every sample promptly.
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	enc := json.NewEncoder(bw)
-	wt := s.writeTimeout()
-	for sample := range sub.C() {
-		// Refresh the write deadline per burst: it covers the encode (which
-		// may auto-flush a full buffer) and the final flush. A viewer that
-		// cannot take a burst within the deadline is disconnected.
-		if wt > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if err := enc.Encode(sample); err != nil {
-			return
-		}
-	drain:
-		for {
-			select {
-			case s, ok := <-sub.C():
-				if !ok {
-					_ = bw.Flush()
-					return
-				}
-				if err := enc.Encode(s); err != nil {
-					return
-				}
-			default:
-				break drain
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-	_ = bw.Flush()
-}
-
-// serveBinary streams shared batch frames: every connection writes the
-// same Frame() bytes its batch produced once, so fanning one batch out to
-// N viewers costs one encode plus N buffer copies.
-func (s *Server) serveBinary(conn net.Conn, msg subscribeMsg) {
 	sub, err := s.hub.SubscribeBatches(msg.Buffer, msg.CatchUp, msg.Channels...)
 	if err != nil {
 		return
 	}
 	defer sub.Cancel()
+	// Buffer writes and flush only when the subscription runs dry: a burst
+	// of batches coalesces into one syscall, while an idle stream still
+	// delivers every batch promptly. The write deadline is refreshed per
+	// burst; a viewer that cannot take a burst within it is disconnected.
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	wt := s.writeTimeout()
 	for batch := range sub.Batches() {

@@ -118,43 +118,11 @@ func TestServerBinaryChannelFilter(t *testing.T) {
 	}
 }
 
-// The subscribe message is still plain JSON, so a legacy client and a
-// binary client coexist on one server.
-func TestServerMixedFormatClients(t *testing.T) {
-	hub := NewHub()
-	defer hub.Close()
-	srv := NewServer(hub)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	jsonCl, err := Dial(addr, 16, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jsonCl.Close()
-	binCl, err := DialBatches(addr, 16, false, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binCl.Close()
-	waitFor(t, time.Second, func() bool { return hub.Subscribers() == 2 })
-
-	hub.PublishBatch([]Sample{{Channel: "a", Value: 42}})
-	j := jsonCl.CollectFor(500 * time.Millisecond)
-	b := binCl.CollectFor(500 * time.Millisecond)
-	if len(j) != 1 || len(b) != 1 || j[0] != b[0] {
-		t.Fatalf("json=%+v binary=%+v, want identical single sample", j, b)
-	}
-}
-
 func TestSubscribeMsgJSONShape(t *testing.T) {
 	// The wire handshake is part of the protocol surface: field names must
 	// not drift or old clients break.
-	data, _ := json.Marshal(subscribeMsg{Channels: []string{"a"}, Buffer: 4, CatchUp: true, Format: "binary"})
-	want := `{"channels":["a"],"buffer":4,"catch_up":true,"format":"binary"}`
+	data, _ := json.Marshal(subscribeMsg{Channels: []string{"a"}, Buffer: 4, CatchUp: true})
+	want := `{"channels":["a"],"buffer":4,"catch_up":true}`
 	if string(data) != want {
 		t.Fatalf("subscribe msg = %s, want %s", data, want)
 	}

@@ -22,9 +22,9 @@ import (
 //
 // One frame carries one published batch. The hub encodes a batch's frame
 // exactly once (Batch.Frame, guarded by sync.Once) and every subscriber
-// connection writes the same byte slice — encode-once/write-many. The
-// legacy newline-delimited JSON endpoint is untouched; a client opts into
-// the binary format in its subscribe message.
+// connection writes the same byte slice — encode-once/write-many. It is the
+// only stream encoding of the TCP server; the subscribe handshake before it
+// is one JSON line.
 
 const (
 	wireVersion = 1
@@ -35,6 +35,10 @@ const (
 	// name: 2 (name length) + 8 (seq) + 8 (T) + 8 (Value).
 	sampleFixedWire = 26
 	frameHeaderSize = 4 + 1 + 4
+	// maxInternedNames caps a decoder's channel-name intern table. A real
+	// stream carries tens of channels; an upstream that streams unique names
+	// would otherwise grow the table, and a relay's memory, without bound.
+	maxInternedNames = 4096
 )
 
 // frameSize returns the exact encoded size of a frame for samples.
@@ -75,7 +79,9 @@ func (b *Batch) Frame() []byte {
 
 // frameDecoder reads wire frames off a connection, reusing its payload
 // buffer across frames and interning channel names so a million-sample
-// stream allocates a handful of strings, not one per sample.
+// stream allocates a handful of strings, not one per sample. The intern
+// table is emptied once it reaches maxInternedNames, so its size is
+// bounded whatever the peer sends.
 type frameDecoder struct {
 	r     *bufio.Reader
 	buf   []byte
@@ -90,6 +96,9 @@ func newFrameDecoder(r io.Reader) *frameDecoder {
 func (d *frameDecoder) intern(b []byte) string {
 	if s, ok := d.names[string(b)]; ok { // no-alloc map lookup
 		return s
+	}
+	if len(d.names) >= maxInternedNames {
+		clear(d.names)
 	}
 	s := string(b)
 	d.names[s] = s

@@ -2,8 +2,10 @@ package nsds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -48,6 +50,49 @@ func TestWireDecoderInternsChannelNames(t *testing.T) {
 	if unsafe.StringData(first[0].Channel) != unsafe.StringData(second[1].Channel) {
 		t.Fatal("channel names not interned across frames")
 	}
+}
+
+// An upstream that streams unique channel names must not grow the
+// decoder's intern table without bound, and resetting the table must not
+// corrupt any decoded name.
+func TestWireDecoderBoundsInternTable(t *testing.T) {
+	const n = 2*maxInternedNames + 7
+	var buf bytes.Buffer
+	for i := 0; i < n; i++ {
+		buf.Write(appendFrame(nil, []Sample{{Channel: "ch." + strconv.Itoa(i), Seq: uint64(i)}}))
+	}
+	dec := newFrameDecoder(&buf)
+	for i := 0; i < n; i++ {
+		got, err := dec.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if want := "ch." + strconv.Itoa(i); len(got) != 1 || got[0].Channel != want || got[0].Seq != uint64(i) {
+			t.Fatalf("frame %d decoded %+v, want channel %q", i, got, want)
+		}
+		if len(dec.names) > maxInternedNames {
+			t.Fatalf("intern table holds %d names after frame %d, cap %d", len(dec.names), i, maxInternedNames)
+		}
+	}
+}
+
+// FuzzFrameDecoder feeds arbitrary bytes to the decoder: Next must never
+// panic, and every frame it accepts must re-encode byte for byte.
+func FuzzFrameDecoder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := newFrameDecoder(bytes.NewReader(data))
+		for off := 0; ; {
+			samples, err := dec.Next()
+			if err != nil {
+				return
+			}
+			end := off + 4 + int(binary.LittleEndian.Uint32(data[off:]))
+			if got := appendFrame(nil, samples); !bytes.Equal(got, data[off:end]) {
+				t.Fatalf("frame at %d re-encodes as %x, want %x", off, got, data[off:end])
+			}
+			off = end
+		}
+	})
 }
 
 func TestWireDecoderRejectsCorruptFrames(t *testing.T) {
