@@ -13,9 +13,11 @@
 #            than part of the offline default lane)
 #   build  - go build everything
 #   test   - full suite under the race detector
-#   fuzz   - 20 s of native fuzzing on the NSDS wire-frame decoder, the one
-#            decoder every NSDS TCP stream goes through (seed corpus in
-#            internal/nsds/testdata/fuzz)
+#   fuzz   - 20 s of native fuzzing on each of two decoders: the NSDS
+#            wire-frame decoder every NSDS TCP stream goes through, and the
+#            checkpoint decoder a resumed coordinator reads from disk (seed
+#            corpora in internal/nsds/testdata/fuzz and
+#            internal/coord/testdata/fuzz)
 #   bench  - E8/E10 hot-path smoke gated against BENCH_ntcp.json (deploy/benchgate)
 #   smoke  - trace round-trip + graceful-shutdown end-to-end smokes
 #   obs    - observability smoke: the aggregator over a two-site run must
@@ -75,7 +77,9 @@ stage_test() {
 }
 
 stage_fuzz() {
-    go test -run '^$' -fuzz '^FuzzFrameDecoder$' -fuzztime 20s ./internal/nsds/
+    # go test -fuzz takes one target in one package per invocation.
+    go test -run '^$' -fuzz '^FuzzFrameDecoder$' -fuzztime 20s ./internal/nsds/ || return 1
+    go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 20s ./internal/coord/
 }
 
 stage_bench() {

@@ -1,7 +1,8 @@
 // Package control emulates the laboratory control systems the MOST
 // experiment drove through NTCP: servo-hydraulic actuators behind a
 // Shore-Western-style TCP controller (UIUC), an xPC-target-style real-time
-// loop (CU), and the stepper-motor tabletop rig of Mini-MOST. The paper's
+// loop (CU) whose host waits for a per-command completion notice instead of
+// polling status, and the stepper-motor tabletop rig of Mini-MOST. The paper's
 // rigs are physical; these models keep the behaviours the protocol and the
 // pseudo-dynamic algorithm interact with — commanded moves with finite
 // slew rate and settle time, sensor noise, stroke/force interlocks, and an

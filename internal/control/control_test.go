@@ -1,7 +1,11 @@
 package control
 
 import (
+	"context"
+	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -263,7 +267,7 @@ func TestXPCTargetCommandPollCycle(t *testing.T) {
 		t.Fatal("target should be pending before a cycle")
 	}
 	x.Cycle()
-	pos, force, err := x.WaitSettled(time.Second)
+	pos, force, err := x.WaitSettled(context.Background(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +285,7 @@ func TestXPCTargetBackgroundLoop(t *testing.T) {
 	x.Start(time.Millisecond)
 	defer x.Stop()
 	x.SetTarget(0.01)
-	pos, _, err := x.WaitSettled(2 * time.Second)
+	pos, _, err := x.WaitSettled(context.Background(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +299,140 @@ func TestXPCTargetSurfacesError(t *testing.T) {
 	x := NewXPCTarget(rig)
 	x.SetTarget(9.9) // beyond stroke
 	x.Cycle()
-	_, _, err := x.WaitSettled(time.Second)
+	_, _, err := x.WaitSettled(context.Background(), time.Second)
 	if err == nil {
 		t.Fatal("stroke error should surface via status")
 	}
+}
+
+func TestXPCTargetWaitHonoursContext(t *testing.T) {
+	x := NewXPCTarget(NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+	x.SetTarget(0.01) // never applied: no loop, no Cycle
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := x.WaitSettled(ctx, 10*time.Second)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context's deadline error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("wait outlived its context by %v", d)
+	}
+}
+
+func TestXPCTargetStopReleasesWaiter(t *testing.T) {
+	x := NewXPCTarget(NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+	x.Start(time.Hour) // running, but no cycle will come
+	x.SetTarget(0.01)
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := x.WaitSettled(context.Background(), 10*time.Second)
+		errc <- err
+	}()
+	time.Sleep(10 * time.Millisecond) // let the waiter block
+	x.Stop()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, errXPCStopped) {
+			t.Fatalf("err = %v, want %v", err, errXPCStopped)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Stop did not release the waiter")
+	}
+	if x.Applied() != 0 {
+		t.Fatal("stopped target applied a command")
+	}
+	// A wait that starts after Stop fails at once instead of timing out.
+	if _, _, err := x.WaitSettled(context.Background(), 10*time.Second); !errors.Is(err, errXPCStopped) {
+		t.Fatalf("wait after Stop: err = %v", err)
+	}
+}
+
+func TestXPCTargetReplacedCommandReportsAppliedOutcome(t *testing.T) {
+	x := NewXPCTarget(NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+	x.SetTarget(0.01)
+	type outcome struct {
+		pos, force float64
+		err        error
+	}
+	first := make(chan outcome, 1)
+	go func() {
+		p, f, err := x.WaitSettled(context.Background(), 5*time.Second)
+		first <- outcome{p, f, err}
+	}()
+	x.SetTarget(0.02) // replaces the unapplied 0.01
+	x.Cycle()
+	p, f, err := x.WaitSettled(context.Background(), 5*time.Second)
+	got := <-first
+	for _, o := range []outcome{got, {p, f, err}} {
+		if o.err != nil || math.Abs(o.pos-0.02) > 1e-3 || math.Abs(o.force-20) > 1 {
+			t.Fatalf("outcome = %+v, want the replacement's (0.02, ~20)", o)
+		}
+	}
+	if x.Applied() != 1 {
+		t.Fatalf("applied %d commands, want 1 (the replacement)", x.Applied())
+	}
+}
+
+// TestXPCTargetInterleavedCommandsRaceClean drives SetTarget, Cycle, Status
+// and WaitSettled from concurrent goroutines; run under -race. A lone host
+// must always get its own command's outcome; hosts that overwrite each
+// other's mailbox entry must get the outcome of a command that was posted.
+func TestXPCTargetInterleavedCommandsRaceClean(t *testing.T) {
+	x := NewXPCTarget(NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+	stop := make(chan struct{})
+	var cycler sync.WaitGroup
+	cycler.Add(1)
+	go func() {
+		defer cycler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				x.Cycle()
+				x.Status()
+				runtime.Gosched()
+			}
+		}
+	}()
+	defer func() { close(stop); cycler.Wait() }()
+
+	check := func(pos, force float64, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(force-1000*pos) > 1 {
+			t.Fatalf("outcome (%g, %g) is not one applied command's", pos, force)
+		}
+	}
+	for i := 1; i <= 100; i++ {
+		want := float64(i) * 1e-4
+		x.SetTarget(want)
+		pos, force, err := x.WaitSettled(context.Background(), 5*time.Second)
+		check(pos, force, err)
+		if math.Abs(pos-want) > 1e-3 {
+			t.Fatalf("command %d: pos = %g, want %g", i, pos, want)
+		}
+	}
+
+	var hosts sync.WaitGroup
+	for h := 0; h < 3; h++ {
+		hosts.Add(1)
+		go func() {
+			defer hosts.Done()
+			for i := 0; i < 50; i++ {
+				x.SetTarget(float64(h*50+i) * 1e-4)
+				pos, force, err := x.WaitSettled(context.Background(), 5*time.Second)
+				if err != nil || math.Abs(force-1000*pos) > 1 || pos < -1e-3 || pos > 0.015+1e-3 {
+					t.Errorf("host %d: outcome (%g, %g, %v)", h, pos, force, err)
+					return
+				}
+			}
+		}()
+	}
+	hosts.Wait()
 }
 
 func TestStepperQuantizesPosition(t *testing.T) {

@@ -1,35 +1,51 @@
 package control
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
 
+// errXPCStopped is returned to a host waiting on a command when the
+// target's real-time loop is stopped before the command is applied.
+var errXPCStopped = errors.New("control: xpc target stopped")
+
 // XPCTarget emulates the CU configuration of Fig. 9: a target machine
 // running a real-time OS that owns the servo loop, driven asynchronously by
 // a host application. Commands are posted to a mailbox; the target applies
-// them on its own cycle; the host polls status until the move settles —
-// the same decoupled command/poll pattern the Matlab xPC feature provided.
+// them on its own cycle and notifies the host that waits on the command —
+// the decoupled command/status pattern the Matlab xPC feature provided,
+// with the target's cycle as the only pacing.
 type XPCTarget struct {
 	rig *Rig
 
-	mu       sync.Mutex
-	target   float64
-	pending  bool
-	settled  bool
-	lastPos  float64
-	lastFrc  float64
-	lastErr  error
-	applied  int
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	running  bool
+	mu sync.Mutex
+	// pending is the command waiting in the mailbox (nil when empty),
+	// posted the most recently posted command (pending, in flight or
+	// applied), and settled the last command a cycle applied.
+	pending, posted, settled *xpcCommand
+	applied                  int
+	stopCh                   chan struct{}
+	running                  bool
+}
+
+// xpcCommand is one mailbox entry. Cycle records its outcome — the
+// measurement Status reports once it is applied — and then closes done,
+// which wakes every host waiting on it.
+type xpcCommand struct {
+	target     float64
+	done       chan struct{}
+	pos, force float64
+	err        error
 }
 
 // NewXPCTarget wraps a rig.
 func NewXPCTarget(rig *Rig) *XPCTarget {
-	return &XPCTarget{rig: rig, settled: true}
+	initial := &xpcCommand{done: make(chan struct{})}
+	close(initial.done)
+	return &XPCTarget{rig: rig, posted: initial, settled: initial}
 }
 
 // Start launches the real-time loop with the given cycle period.
@@ -41,90 +57,109 @@ func (x *XPCTarget) Start(period time.Duration) {
 	}
 	x.running = true
 	x.stopCh = make(chan struct{})
-	x.stopOnce = sync.Once{}
-	go x.loop(period)
+	go x.loop(period, x.stopCh)
 }
 
-// Stop halts the loop.
+// Stop halts the loop. Hosts waiting on an unapplied command get
+// errXPCStopped.
 func (x *XPCTarget) Stop() {
 	x.mu.Lock()
-	ch := x.stopCh
-	x.running = false
-	x.mu.Unlock()
-	if ch != nil {
-		x.stopOnce.Do(func() { close(ch) })
+	defer x.mu.Unlock()
+	if x.running {
+		x.running = false
+		close(x.stopCh)
 	}
 }
 
-func (x *XPCTarget) loop(period time.Duration) {
+func (x *XPCTarget) loop(period time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
 			x.Cycle()
-		case <-x.stopCh:
+		case <-stop:
 			return
 		}
 	}
 }
 
 // Cycle runs one real-time cycle: if a command is pending, apply it through
-// the rig. Exposed so tests can drive the target deterministically without
-// the ticker.
+// the rig and wake its waiters. It is the only place a command is applied;
+// exposed so tests can drive the target deterministically without the
+// ticker.
 func (x *XPCTarget) Cycle() {
 	x.mu.Lock()
-	if !x.pending {
-		x.mu.Unlock()
+	cmd := x.pending
+	x.pending = nil
+	x.mu.Unlock()
+	if cmd == nil {
 		return
 	}
-	target := x.target
-	x.pending = false
-	x.mu.Unlock()
 
-	forces, err := x.rig.Apply([]float64{target})
+	forces, err := x.rig.Apply([]float64{cmd.target})
 
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	x.applied++
-	x.settled = true
-	x.lastErr = err
+	// A failed move reports its error with the last good measurement.
+	cmd.pos, cmd.force, cmd.err = x.settled.pos, x.settled.force, err
 	if err == nil {
-		x.lastPos = target
-		x.lastFrc = forces[0]
+		cmd.pos, cmd.force = cmd.target, forces[0]
 	}
+	x.settled = cmd
+	x.mu.Unlock()
+	close(cmd.done)
 }
 
 // SetTarget posts a new position command; the loop applies it on its next
-// cycle.
+// cycle. A command still waiting in the mailbox is replaced, and its
+// waiters receive the outcome of the replacement.
 func (x *XPCTarget) SetTarget(pos float64) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.target = pos
-	x.pending = true
-	x.settled = false
-	x.lastErr = nil
+	if x.pending == nil {
+		x.pending = &xpcCommand{done: make(chan struct{})}
+		x.posted = x.pending
+	}
+	x.pending.target = pos
 }
 
-// Status returns the latest settled measurement.
+// Status returns the latest settled measurement. Until the most recently
+// posted command is applied it reports settled false and no error.
 func (x *XPCTarget) Status() (settled bool, pos, force float64, err error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.settled, x.lastPos, x.lastFrc, x.lastErr
+	s := x.settled
+	if x.posted != s {
+		return false, s.pos, s.force, nil
+	}
+	return true, s.pos, s.force, s.err
 }
 
-// WaitSettled polls until the pending command completes or timeout elapses.
-func (x *XPCTarget) WaitSettled(timeout time.Duration) (pos, force float64, err error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		settled, p, f, e := x.Status()
-		if settled {
-			return p, f, e
-		}
-		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("control: xpc target did not settle within %v", timeout)
-		}
-		time.Sleep(time.Millisecond)
+// WaitSettled waits until the most recently posted command is applied and
+// returns the outcome Status reported when it was. It fails with ctx's
+// error, with errXPCStopped once the loop is stopped, or after timeout.
+func (x *XPCTarget) WaitSettled(ctx context.Context, timeout time.Duration) (pos, force float64, err error) {
+	x.mu.Lock()
+	cmd, stop := x.posted, x.stopCh
+	x.mu.Unlock()
+	// An applied command's outcome wins over a stop that is also ready.
+	select {
+	case <-cmd.done:
+		return cmd.pos, cmd.force, cmd.err
+	default:
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-cmd.done:
+		return cmd.pos, cmd.force, cmd.err
+	case <-ctx.Done():
+		return 0, 0, ctx.Err()
+	case <-stop:
+		return 0, 0, errXPCStopped
+	case <-timer.C:
+		return 0, 0, fmt.Errorf("control: xpc target did not settle within %v", timeout)
 	}
 }
 

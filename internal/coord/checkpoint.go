@@ -116,19 +116,28 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: read checkpoint: %w", err)
 	}
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("coord: checkpoint %s: %w", path, err)
+	}
+	return cp, nil
+}
+
+// decodeCheckpoint parses checkpoint bytes and rejects any that do not
+// describe a committed step a run can resume from.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("coord: decode checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("coord: checkpoint %s: unsupported version %d", path, cp.Version)
+		return nil, fmt.Errorf("unsupported version %d", cp.Version)
 	}
 	if cp.Step < 0 || len(cp.IntegratorState) == 0 || len(cp.Tail) == 0 {
-		return nil, fmt.Errorf("coord: checkpoint %s: incomplete", path)
+		return nil, fmt.Errorf("incomplete")
 	}
 	if last := cp.Tail[len(cp.Tail)-1]; last.Step != cp.Step {
-		return nil, fmt.Errorf("coord: checkpoint %s: tail ends at step %d, want %d",
-			path, last.Step, cp.Step)
+		return nil, fmt.Errorf("tail ends at step %d, want %d", last.Step, cp.Step)
 	}
 	return &cp, nil
 }

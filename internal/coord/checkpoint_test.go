@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -251,4 +253,64 @@ func TestSaveCheckpointAtomicReplace(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want only the checkpoint", len(entries))
 	}
+}
+
+// savedCheckpoint returns the bytes SaveCheckpoint wrote at the end of a
+// short checkpointed run over a hysteretic site.
+func savedCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	h := newHarness(t, []structural.Element{bilinearElement()}, nil)
+	cfg := checkpointConfig(12)
+	cfg.Checkpoint = &CheckpointConfig{Path: filepath.Join(t.TempDir(), "coord.ckpt")}
+	mustRun(t, cfg, h.coordSites(core.DefaultRetry))
+	data, err := os.ReadFile(cfg.Checkpoint.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeCheckpoint(data); err != nil {
+		t.Fatalf("saved checkpoint does not decode: %v", err)
+	}
+	return data
+}
+
+// A write cut short at any byte must never load as a checkpoint.
+func TestLoadCheckpointRejectsEveryTruncation(t *testing.T) {
+	data := savedCheckpoint(t)
+	path := filepath.Join(t.TempDir(), "cut.ckpt")
+	for n := 0; n < len(data); n++ {
+		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cp, err := LoadCheckpoint(path); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte checkpoint loaded as step %d", n, len(data), cp.Step)
+		}
+	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint decoder: it
+// must never panic, every checkpoint it accepts must hold the invariants
+// resume relies on, and an accepted checkpoint must survive being saved
+// and loaded again unchanged.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if cp.Version != checkpointVersion || cp.Step < 0 || len(cp.IntegratorState) == 0 ||
+			len(cp.Tail) == 0 || cp.Tail[len(cp.Tail)-1].Step != cp.Step {
+			t.Fatalf("accepted checkpoint breaks an invariant: %+v", cp)
+		}
+		saved, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not encode: %v", err)
+		}
+		again, err := decodeCheckpoint(saved)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint rejected: %v", err)
+		}
+		if resaved, _ := json.Marshal(again); !bytes.Equal(saved, resaved) {
+			t.Fatalf("checkpoint changed across a save/load cycle:\n%s\n%s", saved, resaved)
+		}
+	})
 }

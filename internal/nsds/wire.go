@@ -39,6 +39,11 @@ const (
 	// stream carries tens of channels; an upstream that streams unique names
 	// would otherwise grow the table, and a relay's memory, without bound.
 	maxInternedNames = 4096
+	// frameReadChunk is the most a decoder allocates for a frame before
+	// any of its payload has arrived; maxRetainedFrameBuf is the largest
+	// payload buffer it keeps between frames.
+	frameReadChunk      = 64 << 10
+	maxRetainedFrameBuf = 1 << 20
 )
 
 // frameSize returns the exact encoded size of a frame for samples.
@@ -80,8 +85,9 @@ func (b *Batch) Frame() []byte {
 // frameDecoder reads wire frames off a connection, reusing its payload
 // buffer across frames and interning channel names so a million-sample
 // stream allocates a handful of strings, not one per sample. The intern
-// table is emptied once it reaches maxInternedNames, so its size is
-// bounded whatever the peer sends.
+// table is emptied once it reaches maxInternedNames and the payload buffer
+// grows only as bytes arrive, so neither is sized by what the peer merely
+// declares.
 type frameDecoder struct {
 	r     *bufio.Reader
 	buf   []byte
@@ -105,6 +111,28 @@ func (d *frameDecoder) intern(b []byte) string {
 	return s
 }
 
+// readPayload reads an n-byte payload into d.buf. A payload that fits the
+// buffer takes one ReadFull; a larger one grows the buffer only as bytes
+// arrive — a first chunk of at most frameReadChunk, then at most doubling
+// what has been read — so a header that declares 16 MiB and then stalls
+// or closes costs the connection one chunk, not 16 MiB.
+func (d *frameDecoder) readPayload(n int) ([]byte, error) {
+	buf := d.buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(2*len(buf), frameReadChunk)))
+			copy(grown, buf)
+			buf, d.buf = grown, grown
+		}
+		m, err := io.ReadFull(d.r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // Next decodes one frame into a freshly allocated sample slice (the caller
 // keeps it; the scratch buffer is reused).
 func (d *frameDecoder) Next() ([]Sample, error) {
@@ -116,11 +144,11 @@ func (d *frameDecoder) Next() ([]Sample, error) {
 	if payload < 5 || payload > maxFramePayload {
 		return nil, fmt.Errorf("nsds: frame payload %d out of range", payload)
 	}
-	if cap(d.buf) < int(payload) {
-		d.buf = make([]byte, payload)
+	buf, err := d.readPayload(int(payload))
+	if cap(d.buf) > maxRetainedFrameBuf {
+		d.buf = nil // buf still holds this frame; the next one starts small
 	}
-	buf := d.buf[:payload]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("nsds: short frame: %w", err)
 	}
 	if buf[0] != wireVersion {

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 )
 
@@ -106,6 +109,53 @@ func TestWireDecoderRejectsCorruptFrames(t *testing.T) {
 		dec := newFrameDecoder(bytes.NewReader(frame))
 		if _, err := dec.Next(); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// A peer's 4-byte header must not make the decoder allocate the payload it
+// declares: memory follows the bytes that actually arrive.
+func TestWireDecoderDeclaredPayloadCostsOneChunk(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, maxFramePayload)
+	dec := newFrameDecoder(bytes.NewReader(hdr))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := dec.Next()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "short frame") {
+		t.Fatalf("err = %v, want a short-frame error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("decoder allocated %d bytes for a header with no payload, want < 1 MiB", n)
+	}
+}
+
+// Frames larger than one read chunk arrive in pieces and must decode byte
+// for byte; a buffer grown past maxRetainedFrameBuf must not outlive its
+// frame.
+func TestWireDecoderGrowsAcrossChunks(t *testing.T) {
+	frameOf := func(n int) []byte {
+		samples := make([]Sample, n)
+		for i := range samples {
+			samples[i] = Sample{Channel: "ch." + strconv.Itoa(i%97), Seq: uint64(i), T: float64(i), Value: -float64(i)}
+		}
+		return appendFrame(nil, samples)
+	}
+	frames := [][]byte{frameOf(10_000), frameOf(40_000), frameOf(3)}
+	if len(frames[0]) <= 2*frameReadChunk || len(frames[1]) <= maxRetainedFrameBuf {
+		t.Fatalf("test frames too small: %d, %d bytes", len(frames[0]), len(frames[1]))
+	}
+	dec := newFrameDecoder(iotest.HalfReader(bytes.NewReader(bytes.Join(frames, nil))))
+	for i, want := range frames {
+		got, err := dec.Next()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if enc := appendFrame(nil, got); !bytes.Equal(enc, want) {
+			t.Fatalf("frame %d (%d bytes) did not round-trip", i, len(want))
+		}
+		if cap(dec.buf) > maxRetainedFrameBuf {
+			t.Fatalf("decoder kept a %d-byte buffer after frame %d", cap(dec.buf), i)
 		}
 	}
 }

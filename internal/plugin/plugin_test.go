@@ -2,6 +2,7 @@ package plugin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -189,6 +190,48 @@ func TestXPCPluginExecute(t *testing.T) {
 	}
 	if math.Abs(results[0].Forces[0]-10) > 1 {
 		t.Fatalf("force = %g", results[0].Forces[0])
+	}
+}
+
+func TestXPCPluginExecuteHonoursCancel(t *testing.T) {
+	// The target loop is never started, so only cancellation can end the
+	// wait before the 10 s settle timeout.
+	target := control.NewXPCTarget(control.NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+	p := &XPCPlugin{Point: "right-column", Target: target, SettleTimeout: 10 * time.Second}
+	ctx, cancel := context.WithCancel(context.Background())
+	var cancelled time.Time
+	go func() {
+		time.Sleep(20 * time.Millisecond) // mid-wait
+		cancelled = time.Now()
+		cancel()
+	}()
+	_, err := p.Execute(ctx, action("right-column", 0.01))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(cancelled); d > 100*time.Millisecond {
+		t.Fatalf("Execute returned %v after cancellation, want < 100ms", d)
+	}
+}
+
+func TestXPCPluginStopReleasesExecute(t *testing.T) {
+	target := control.NewXPCTarget(control.NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+	target.Start(time.Hour) // running, but no cycle will come
+	p := &XPCPlugin{Point: "right-column", Target: target, SettleTimeout: 10 * time.Second}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := p.Execute(context.Background(), action("right-column", 0.01))
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let Execute block
+	target.Stop()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("Execute succeeded on a stopped target")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Stop did not release Execute")
 	}
 }
 

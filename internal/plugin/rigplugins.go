@@ -63,11 +63,11 @@ func (p *ShoreWesternPlugin) Execute(ctx context.Context, actions []core.Action)
 var _ core.Plugin = (*ShoreWesternPlugin)(nil)
 
 // XPCPlugin drives the CU path of Fig. 9: commands posted to an xPC-style
-// real-time target, outcome collected by polling until settled.
+// real-time target, outcome delivered when the target's cycle applies them.
 type XPCPlugin struct {
 	Point  string
 	Target *control.XPCTarget
-	// SettleTimeout bounds the polling wait per action.
+	// SettleTimeout bounds the wait for the target to apply each action.
 	SettleTimeout time.Duration
 }
 
@@ -84,7 +84,8 @@ func (p *XPCPlugin) Validate(_ context.Context, actions []core.Action) error {
 	return nil
 }
 
-// Execute posts each action and polls for settlement.
+// Execute posts each action and waits for the target to apply it. The wait
+// ends early when ctx is done or the target is stopped.
 func (p *XPCPlugin) Execute(ctx context.Context, actions []core.Action) ([]core.Result, error) {
 	timeout := p.SettleTimeout
 	if timeout <= 0 {
@@ -96,7 +97,7 @@ func (p *XPCPlugin) Execute(ctx context.Context, actions []core.Action) ([]core.
 			return nil, err
 		}
 		p.Target.SetTarget(a.Displacements[0])
-		pos, force, err := p.Target.WaitSettled(timeout)
+		pos, force, err := p.Target.WaitSettled(ctx, timeout)
 		if err != nil {
 			return nil, fmt.Errorf("xpc: %w", err)
 		}
